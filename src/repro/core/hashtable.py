@@ -20,6 +20,8 @@ import struct
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
+import numpy as np
+
 from repro.constants import BUCKET_SIZE
 from repro.core.hashindex import (
     POINTER_GRANULARITY,
@@ -107,6 +109,12 @@ class HashTable(Index):
         self.get_cost = RunningStats()
         self.put_cost = RunningStats()
         self.delete_cost = RunningStats()
+        #: Home-bucket occupancy map, one byte per bucket.  Invariant:
+        #: every home bucket whose chain holds an entry is marked (a mark
+        #: on an empty chain is harmless), so :meth:`items` walks only the
+        #: marked homes.  Host-side bookkeeping: never read or written
+        #: through the counted memory image.
+        self._occupied = bytearray(num_buckets)
 
     # -- public API -----------------------------------------------------------
 
@@ -276,7 +284,11 @@ class HashTable(Index):
         """Insert/replace; returns the replaced value's size, or None."""
         h = fnv1a64(key)
         secondary = secondary_hash(h)
-        first_addr = self.bucket_addr(bucket_index(h, self.num_buckets))
+        home = bucket_index(h, self.num_buckets)
+        # Mark before any write, so a put that raises part-way (e.g. on
+        # slab exhaustion) still leaves its home marked.
+        self._occupied[home] = 1
+        first_addr = self.bucket_addr(home)
 
         # Pass 1: walk the chain looking for the key, remembering the first
         # bucket that could host the new KV.
@@ -468,14 +480,34 @@ class HashTable(Index):
             self._store(prev_addr, prev_bucket)
             self.allocator.free(addr, _BUCKET_CLASS)
             self.counters.add("unlinked_buckets")
+            self._unmark_if_empty(prev_addr, prev_bucket)
             return
         self._store(addr, bucket)
+        self._unmark_if_empty(addr, bucket)
 
-    # -- debug / introspection -----------------------------------------------------------
+    def _unmark_if_empty(self, addr: int, bucket: Bucket) -> None:
+        """Clear a home bucket's occupancy mark once its chain is empty."""
+        if bucket.chain_ptr or not bucket.has_no_entries():
+            return
+        offset = addr - self.base
+        if 0 <= offset < self.num_buckets * BUCKET_SIZE:
+            self._occupied[offset // BUCKET_SIZE] = 0
+
+    # -- control-plane scan --------------------------------------------------------------
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
-        """Scan every stored KV (uncounted; for tests and tooling)."""
-        for index in range(self.num_buckets):
+        """Iterate every stored KV in home-bucket order.
+
+        The cluster control plane (failover, migration, divergence
+        checks) and store tooling read the table through this.  It walks
+        only the homes marked in the occupancy map, so the cost is
+        O(live keys) plus one C-speed pass over one byte per bucket, not
+        O(num_buckets).  Reads go through the uncounted
+        :meth:`~repro.dram.host.MemoryImage.peek`, so a scan never moves
+        any simulated access count.
+        """
+        homes = np.flatnonzero(np.frombuffer(self._occupied, dtype=np.uint8))
+        for index in homes.tolist():
             addr = self.bucket_addr(index)
             while True:
                 bucket = Bucket.unpack(self.memory.peek(addr, BUCKET_SIZE))

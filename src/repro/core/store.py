@@ -220,6 +220,10 @@ class KVDirectStore:
         return key in self.table
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
+        """Iterate every stored KV: the cluster control plane's read path.
+
+        O(live keys) and uncounted; see :meth:`HashTable.items`.
+        """
         return self.table.items()
 
     def utilization(self) -> float:
@@ -275,6 +279,7 @@ class KVDirectStore:
         self.index.scan_cost = type(self.index.scan_cost)()
 
     def keys(self):
-        """Iterate every stored key (uncounted, like :meth:`items`)."""
+        """Iterate every stored key (control plane and tooling; O(live
+        keys) and uncounted, like :meth:`items`)."""
         for key, __ in self.items():
             yield key

@@ -418,10 +418,6 @@ class Cluster:
     def alive_nodes(self) -> int:
         return sum(1 for node in self.nodes if node.alive)
 
-    @property
-    def failover_in_progress(self) -> bool:
-        return self._failovers_active > 0
-
     def notice_node_down(self, node_id: int) -> None:
         """Start failover for a dead node (idempotent; routers call this
         on the first ``NodeDown(reason="killed")`` they observe)."""
@@ -505,17 +501,12 @@ class Cluster:
             target = self.nodes[new_backup]
             # Clear any stale copy of this slot before the fresh snapshot
             # (a delete at the primary must not resurrect at the backup).
-            for key in sorted(
-                key
-                for key, __ in target.store.items()
-                if self.map.slot_of(key) == slot
-            ):
+            # Both scans run here, after this slot's quiesce: writes to
+            # other slots keep landing during the migration, so a single
+            # pass per node up front would copy stale values.
+            for key, __ in sorted(self._slot_items(target, slot)):
                 self.apply_state(target, key, None)
-            snapshot = sorted(
-                (key, value)
-                for key, value in self.nodes[owner].store.items()
-                if self.map.slot_of(key) == slot
-            )
+            snapshot = sorted(self._slot_items(self.nodes[owner], slot))
             for key, value in snapshot:
                 yield self.sim.timeout(self.migration_delay_per_key_ns)
                 self.apply_state(target, key, value)
@@ -549,14 +540,23 @@ class Cluster:
                 return
             yield self.sim.timeout(self.poll_ns)
 
+    def _slot_items(
+        self, node: ClusterNode, slot: int
+    ) -> List[Tuple[bytes, bytes]]:
+        """One node's (key, value) pairs that belong to ``slot`` (an
+        uncounted O(live keys) scan of its store)."""
+        return [
+            (key, value)
+            for key, value in node.store.items()
+            if self.map.slot_of(key) == slot
+        ]
+
     def primary_state(self) -> dict:
         """The authoritative key space: each slot read at its primary."""
         merged = {}
         for slot in range(self.map.num_slots):
             primary = self.nodes[self.map.primary(slot)]
-            for key, value in primary.store.items():
-                if self.map.slot_of(key) == slot:
-                    merged[key] = value
+            merged.update(self._slot_items(primary, slot))
         return merged
 
     def replication_divergences(self) -> List[str]:
@@ -569,16 +569,8 @@ class Cluster:
             backup = self.nodes[placement.backup]
             if not primary.alive or not backup.alive:
                 continue
-            want = {
-                key: value
-                for key, value in primary.store.items()
-                if self.map.slot_of(key) == slot
-            }
-            have = {
-                key: value
-                for key, value in backup.store.items()
-                if self.map.slot_of(key) == slot
-            }
+            want = dict(self._slot_items(primary, slot))
+            have = dict(self._slot_items(backup, slot))
             if want != have:
                 missing = sorted(set(want) - set(have))
                 extra = sorted(set(have) - set(want))

@@ -244,6 +244,37 @@ class TestFailover:
         assert cluster.migrating_slots == set()
         assert cluster.counters.get("migrated_keys") > 0
 
+    def test_stale_copy_at_fresh_backup_does_not_resurrect(self):
+        """Failover clears a slot's stray keys at its fresh backup before
+        copying the snapshot, so a key the primary never held (or
+        deleted) cannot reappear there."""
+        sim, cluster = _cluster()
+        slot = next(
+            s for s in range(8)
+            if cluster.map.primary(s) == 0 and cluster.map.backup(s) == 1
+        )
+        keys = [b"key%06d" % i for i in range(400)]
+        slot_keys = [key for key in keys if cluster.map.slot_of(key) == slot]
+        live, stray = slot_keys[:4], slot_keys[4]
+        router = ClusterRouter(sim, cluster)
+        router.run([
+            KVOperation.put(key, b"v", seq=i) for i, key in enumerate(live)
+        ])
+        # Node 2 holds neither role for the slot yet; after node 0 dies,
+        # node 1 is promoted and node 2 becomes the fresh backup.
+        fresh_backup = cluster.nodes[2]
+        fresh_backup.store.put(stray, b"stale")
+        cluster.nodes[0].die()
+        cluster.notice_node_down(0)
+        sim.run(sim.process(cluster.quiesce()))
+        assert cluster.map.placements[slot] == Placement(primary=1, backup=2)
+        stored = dict(fresh_backup.store.items())
+        assert stray not in stored
+        assert {key: stored[key] for key in live} == {
+            key: b"v" for key in live
+        }
+        assert cluster.replication_divergences() == []
+
     def test_two_node_cluster_survives_one_kill(self):
         sim, cluster = _cluster(nodes=2)
         router = ClusterRouter(sim, cluster)

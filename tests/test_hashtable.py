@@ -15,13 +15,14 @@ def make_table(
     memory_size=1 << 20,
     index_ratio=0.5,
     inline_threshold=20,
+    injector=None,
 ):
     """Build a table + allocator over a fresh memory image."""
     memory = MemoryImage(memory_size)
     index_bytes = int(memory_size * index_ratio) // 64 * 64
     num_buckets = index_bytes // 64
     host = HostSlabManager(base=index_bytes, size=memory_size - index_bytes)
-    allocator = SlabAllocator(host)
+    allocator = SlabAllocator(host, injector=injector)
     table = HashTable(
         memory, allocator, num_buckets, inline_threshold=inline_threshold
     )
